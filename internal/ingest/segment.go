@@ -3,6 +3,7 @@ package ingest
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -463,12 +464,15 @@ func (s *SegmentStore) Totals() Footer {
 
 // Query returns an iterator over entries with timestamps in [from, to]
 // (zero bounds are open) that satisfy keep (nil keeps everything). The
-// active segment is sealed first so results are complete. Segments are read
-// one at a time — resident memory is bounded by one decompression buffer —
-// and skipped entirely when their footer's time range does not overlap the
-// query. Entries are yielded in per-segment append order, i.e. in
-// nondecreasing timestamp order when writes were time-ordered, so the
-// iterator can feed a StreamUnifier directly.
+// active segment is sealed first so results are complete. Segments whose
+// footer's time range does not overlap the query are skipped without being
+// opened. From its first Read the iterator decodes the remaining segments
+// one at a time on a goroutine of its own, a few batches of entries ahead
+// of the caller, so resident memory is one decompression buffer plus at most
+// queryDepth+2 batches of queryBatch entries; keep and the time bounds are
+// applied on the caller's goroutine. Entries are yielded in per-segment
+// append order, i.e. in nondecreasing timestamp order when writes were
+// time-ordered, so the iterator can feed a StreamUnifier directly.
 func (s *SegmentStore) Query(from, to time.Time, keep func(trace.Entry) bool) (*QueryIter, error) {
 	if err := s.seal(); err != nil {
 		return nil, err
@@ -484,77 +488,182 @@ func (s *SegmentStore) Query(from, to time.Time, keep func(trace.Entry) bool) (*
 	return &QueryIter{segs: segs, from: from, to: to, keep: keep}, nil
 }
 
-// QueryIter iterates a SegmentStore query one segment at a time. It
-// satisfies EntrySource.
+const (
+	// queryBatch is the number of decoded entries a QueryIter's decoder
+	// hands to Read at a time.
+	queryBatch = 512
+	// queryDepth is the number of decoded batches that may wait for Read:
+	// two lets the decoder fill one while Read drains the other, and keeps
+	// a query's resident entries to a few batches.
+	queryDepth = 2
+)
+
+// errQueryClosed is what Read returns after Close cut a query short.
+var errQueryClosed = errors.New("ingest: read from a closed query")
+
+// entryBatch is one hand-over from a QueryIter's decoder to Read: entries
+// in order, then err (nil unless decoding stopped there).
+type entryBatch struct {
+	entries []trace.Entry
+	err     error
+}
+
+// QueryIter iterates a SegmentStore query. It satisfies EntrySource. Like
+// the store, it is single-caller: Read and Close must not run concurrently.
 type QueryIter struct {
 	segs     []SegmentInfo
 	from, to time.Time
 	keep     func(trace.Entry) bool
 
-	idx int
-	f   *os.File
-	r   *trace.Reader
+	// batches carries decoded entries from the decoder goroutine (started
+	// by the first Read) and is closed after the last one; free hands
+	// consumed batch buffers back for reuse; stop is closed by Close, and
+	// done once the decoder has exited and closed its segment file.
+	batches chan entryBatch
+	free    chan []trace.Entry
+	stop    chan struct{}
+	done    chan struct{}
+
+	cur []trace.Entry
+	pos int
+	// err is sticky: once set (io.EOF, a decode error naming the segment,
+	// or errQueryClosed), every later Read returns it.
+	err error
 }
 
 // Read returns the next matching entry, or io.EOF when the query is
-// exhausted.
+// exhausted. A segment that cannot be opened or decoded ends the query: the
+// error names the segment file, and every later Read returns it again.
 func (it *QueryIter) Read() (trace.Entry, error) {
 	for {
-		if it.r == nil {
-			if it.idx >= len(it.segs) {
-				return trace.Entry{}, io.EOF
+		for it.pos < len(it.cur) {
+			e := it.cur[it.pos]
+			it.pos++
+			if !it.from.IsZero() && e.Timestamp.Before(it.from) {
+				continue
 			}
-			seg := it.segs[it.idx]
-			it.idx++
-			f, err := os.Open(seg.Path)
-			if err != nil {
-				return trace.Entry{}, err
+			if !it.to.IsZero() && e.Timestamp.After(it.to) {
+				continue
 			}
-			r, err := trace.NewReader(f)
-			if err != nil {
-				f.Close()
-				return trace.Entry{}, fmt.Errorf("ingest: open segment %s: %w", seg.Path, err)
+			if it.keep != nil && !it.keep(e) {
+				continue
 			}
-			it.f, it.r = f, r
+			return e, nil
 		}
-		e, err := it.r.Read()
-		if err == io.EOF {
-			it.closeSegment()
-			continue
+		if it.err != nil {
+			return trace.Entry{}, it.err
+		}
+		it.nextBatch()
+	}
+}
+
+// nextBatch waits for the decoder's next batch, starting the decoder on
+// first use and handing the consumed batch back to it.
+func (it *QueryIter) nextBatch() {
+	if it.batches == nil {
+		it.batches = make(chan entryBatch, queryDepth)
+		// At most queryDepth+2 buffers exist (queued, held by Read, being
+		// filled), so handing one back to free never blocks.
+		it.free = make(chan []trace.Entry, queryDepth+2)
+		it.stop = make(chan struct{})
+		it.done = make(chan struct{})
+		go decodeSegments(it.segs, it.batches, it.free, it.stop, it.done)
+	}
+	if it.cur != nil {
+		it.free <- it.cur[:0]
+	}
+	it.cur, it.pos = nil, 0
+	b, ok := <-it.batches
+	if !ok {
+		it.err = io.EOF
+		return
+	}
+	it.cur, it.err = b.entries, b.err
+}
+
+// Close stops the iterator's decoder and waits until it has closed its
+// segment file. Read after Close returns an error (or io.EOF, if the query
+// had already been read to the end); call Close whenever an iterator is
+// abandoned before io.EOF. Close is idempotent.
+func (it *QueryIter) Close() error {
+	if it.stop != nil {
+		close(it.stop)
+		<-it.done
+		it.stop = nil
+	}
+	it.cur = nil
+	if it.err == nil {
+		it.err = errQueryClosed
+	}
+	return nil
+}
+
+// errStopped ends a segment read when the iterator is closed.
+var errStopped = errors.New("ingest: query stopped")
+
+// decodeSegments is a QueryIter's decoder goroutine: it decodes segs in
+// order and sends their entries in batches of queryBatch, the last batch
+// carrying the first error, if any. It returns early when stop closes.
+func decodeSegments(segs []SegmentInfo, batches chan<- entryBatch, free <-chan []trace.Entry, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	defer close(batches)
+	buf := make([]trace.Entry, 0, queryBatch)
+	send := func(err error) bool {
+		select {
+		case batches <- entryBatch{entries: buf, err: err}:
+		case <-stop:
+			return false
+		}
+		select {
+		case buf = <-free:
+		default:
+			buf = make([]trace.Entry, 0, queryBatch)
+		}
+		return true
+	}
+	for _, seg := range segs {
+		err := decodeSegment(seg.Path, func(e trace.Entry) bool {
+			buf = append(buf, e)
+			return len(buf) < queryBatch || send(nil)
+		})
+		if err == errStopped {
+			return
 		}
 		if err != nil {
-			it.closeSegment()
-			return e, err
+			send(err)
+			return
 		}
-		if !it.from.IsZero() && e.Timestamp.Before(it.from) {
-			continue
-		}
-		if !it.to.IsZero() && e.Timestamp.After(it.to) {
-			continue
-		}
-		if it.keep != nil && !it.keep(e) {
-			continue
-		}
-		return e, nil
+	}
+	if len(buf) > 0 {
+		send(nil)
 	}
 }
 
-func (it *QueryIter) closeSegment() {
-	if it.r != nil {
-		it.r.Close()
-		it.r = nil
+// decodeSegment reads one segment's payload into emit until emit returns
+// false, and closes the file before returning.
+func decodeSegment(path string, emit func(trace.Entry) bool) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("ingest: open segment: %w", err)
 	}
-	if it.f != nil {
-		it.f.Close()
-		it.f = nil
+	defer f.Close()
+	r, err := trace.NewReader(f)
+	if err != nil {
+		return fmt.Errorf("ingest: open segment %s: %w", path, err)
 	}
-}
-
-// Close releases any open segment file. Read after Close resumes with the
-// next segment; call it only when abandoning the iterator early.
-func (it *QueryIter) Close() error {
-	it.closeSegment()
-	return nil
+	defer r.Close()
+	for {
+		e, err := r.Read()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("ingest: read segment %s: %w", path, err)
+		}
+		if !emit(e) {
+			return errStopped
+		}
+	}
 }
 
 // TypeCount is a convenience for rendering per-type footer counts in a

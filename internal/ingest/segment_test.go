@@ -1,10 +1,13 @@
 package ingest
 
 import (
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -295,45 +298,170 @@ func TestSegmentPayloadReadableByPlainTraceReader(t *testing.T) {
 	}
 }
 
+// waitGoroutines fails the test unless the goroutine count returns to
+// baseline within a few seconds.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, want <= %d: query decoder leaked", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestQueryIterCloseMidStream(t *testing.T) {
 	dir := t.TempDir()
 	store, err := OpenSegmentStore(dir, SegmentOptions{Rotation: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
-		if err := store.Write(entry("us", 1, "x", wire.WantHave, t0.Add(time.Duration(i)*time.Minute))); err != nil {
+	// Many more entries than the decoder may buffer, over several segments,
+	// so a mid-stream Close finds the decoder still running.
+	const total = 20 * queryBatch
+	for i := 0; i < total; i++ {
+		at := t0.Add(time.Duration(i) * 50 * time.Millisecond)
+		if err := store.Write(entry("us", 1, "x", wire.WantHave, at)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(store.Segments()) < 5 {
+		t.Fatalf("segments = %d, want several", len(store.Segments()))
+	}
+	// Each subtest runs on a goroutine of its own, so each takes its own
+	// baseline.
+	t.Run("close before first read", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		it, err := store.Query(time.Time{}, time.Time{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := it.Read(); err == nil || err == io.EOF {
+			t.Errorf("read after close = %v, want a closed-query error", err)
+		}
+		waitGoroutines(t, baseline)
+	})
+
+	t.Run("close mid-stream", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		it, err := store.Query(time.Time{}, time.Time{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < queryBatch+1; i++ {
+			if _, err := it.Read(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatalf("second close: %v", err)
+		}
+		// Read after Close must not resume with later entries.
+		if _, err := it.Read(); err == nil || err == io.EOF {
+			t.Errorf("read after close = %v, want a closed-query error", err)
+		}
+		waitGoroutines(t, baseline)
+	})
+
+	t.Run("drain to EOF", func(t *testing.T) {
+		// An abandoned iterator must not wedge subsequent queries, and
+		// reaching EOF ends the decoder without a Close.
+		baseline := runtime.NumGoroutine()
+		it, err := store.Query(time.Time{}, time.Time{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Drain(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != total {
+			t.Errorf("drained %d entries, want %d", len(out), total)
+		}
+		if _, err := it.Read(); err != io.EOF {
+			t.Errorf("read after EOF = %v, want io.EOF", err)
+		}
+		waitGoroutines(t, baseline)
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// corruptPayload rewrites a sealed segment so its footer is intact but its
+// gzip payload is cut in half.
+func corruptPayload(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tailLen := 8 + len(segmentFooterMagic)
+	footerLen := int(binary.LittleEndian.Uint64(raw[len(raw)-tailLen:]))
+	payloadLen := len(raw) - tailLen - footerLen
+	out := append(append([]byte(nil), raw[:payloadLen/2]...), raw[payloadLen:]...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestQueryIterCorruptSegmentErrorIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenSegmentStore(dir, SegmentOptions{Rotation: 10 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	fillStore(t, store, randomMonitorTrace(rng, "us", 3000, time.Hour))
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := store.Segments()
+	if len(segs) < 3 {
+		t.Fatalf("segments = %d, want >= 3", len(segs))
+	}
+	bad := segs[len(segs)/2]
+	corruptPayload(t, bad.Path)
+	before := 0 // entries in the segments ahead of the corrupt one
+	for _, seg := range segs[:len(segs)/2] {
+		before += seg.Footer.Entries
+	}
+
+	baseline := runtime.NumGoroutine()
 	it, err := store.Query(time.Time{}, time.Time{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := it.Read(); err != nil {
-		t.Fatal(err)
+	out, err := Drain(it)
+	if err == nil {
+		t.Fatalf("query over a truncated segment succeeded with %d entries", len(out))
 	}
+	if !strings.Contains(err.Error(), bad.Path) {
+		t.Errorf("error %q does not name the corrupt segment %s", err, bad.Path)
+	}
+	if len(out) < before || len(out) >= before+bad.Footer.Entries {
+		t.Errorf("read %d entries before the error, want %d..%d", len(out), before, before+bad.Footer.Entries-1)
+	}
+	// The error is sticky: later Reads must not skip ahead to the next
+	// segment.
+	for i := 0; i < 3; i++ {
+		if e, err2 := it.Read(); err2 != err {
+			t.Fatalf("read %d after error = (%v, %v), want the same error %v", i, e.Timestamp, err2, err)
+		}
+	}
+	waitGoroutines(t, baseline)
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
-	}
-	// Abandoned iterator must not wedge subsequent queries.
-	it2, err := store.Query(time.Time{}, time.Time{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, err := it2.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != 50 {
-		t.Errorf("second query saw %d entries, want 50", n)
 	}
 }
 

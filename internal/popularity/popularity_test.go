@@ -3,6 +3,7 @@ package popularity
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -147,11 +148,10 @@ func TestPowerLawAccepted(t *testing.T) {
 	}
 }
 
-func TestPowerLawRejectedForLognormalMixture(t *testing.T) {
-	// A distribution like the paper's: mostly ones plus a lognormal bulk —
-	// clearly not a power law once the sample is large enough.
-	rng := rand.New(rand.NewSource(3))
-	n := 20000
+// genLognormalMixture draws a distribution like the paper's: mostly ones
+// plus a lognormal bulk — clearly not a power law once the sample is large
+// enough.
+func genLognormalMixture(rng *rand.Rand, n int) []int {
 	data := make([]int, n)
 	for i := range data {
 		if rng.Float64() < 0.5 {
@@ -164,12 +164,78 @@ func TestPowerLawRejectedForLognormalMixture(t *testing.T) {
 			data[i] = v
 		}
 	}
+	return data
+}
+
+func TestPowerLawRejectedForLognormalMixture(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	data := genLognormalMixture(rng, 20000)
 	rejected, fit, p, err := RejectsPowerLaw(data, 60, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rejected {
 		t.Errorf("lognormal mixture not rejected: p=%v fit=%+v", p, fit)
+	}
+}
+
+// sequentialPValue is the bootstrap written as one loop: draw a synthetic
+// dataset, refit it, count it, in that order.
+func sequentialPValue(f PowerLawFit, values []int, iterations int, rng *rand.Rand) float64 {
+	var body []int
+	for _, v := range values {
+		if v < f.Xmin {
+			body = append(body, v)
+		}
+	}
+	pTail := float64(f.NTail) / float64(len(values))
+	exceed := 0
+	for it := 0; it < iterations; it++ {
+		synth := make([]int, len(values))
+		for i := range synth {
+			if len(body) == 0 || rng.Float64() < pTail {
+				synth[i] = samplePowerLaw(rng, f.Xmin, f.Alpha)
+			} else {
+				synth[i] = body[rng.Intn(len(body))]
+			}
+		}
+		if sf, err := FitPowerLaw(synth); err == nil && sf.KS >= f.KS {
+			exceed++
+		}
+	}
+	return float64(exceed) / float64(iterations)
+}
+
+// TestPValueIndependentOfGOMAXPROCS: the parallel refits give exactly the
+// sequential loop's p-value, and the rng ends in the same state, whatever
+// the worker count. The reference p is 0.5 for the power-law input, so
+// the count is not trivially 0 or all.
+func TestPValueIndependentOfGOMAXPROCS(t *testing.T) {
+	inputs := map[string][]int{
+		"powerlaw":  genPowerLaw(rand.New(rand.NewSource(2)), 3000, 1, 2.2),
+		"lognormal": genLognormalMixture(rand.New(rand.NewSource(3)), 5000),
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const iters, seed = 24, 17
+	for _, name := range []string{"powerlaw", "lognormal"} {
+		data := inputs[name]
+		fit, err := FitPowerLaw(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := rand.New(rand.NewSource(seed))
+		want := sequentialPValue(fit, data, iters, ref)
+		wantNext := ref.Int63()
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			rng := rand.New(rand.NewSource(seed))
+			if got := fit.PValue(data, iters, rng); got != want {
+				t.Errorf("%s at GOMAXPROCS %d: p = %v, sequential reference %v", name, procs, got, want)
+			}
+			if next := rng.Int63(); next != wantNext {
+				t.Errorf("%s at GOMAXPROCS %d: rng advanced differently from the reference", name, procs)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // PowerLawFit is the result of fitting a discrete power law to tail data,
@@ -91,16 +94,21 @@ func FitPowerLaw(values []int) (PowerLawFit, error) {
 
 // FitPowerLawOpts is FitPowerLaw with explicit scan bounds.
 func FitPowerLawOpts(values []int, opts FitOpts) (PowerLawFit, error) {
+	sorted := append([]int(nil), values...)
+	sort.Ints(sorted)
+	return fitSorted(sorted, opts)
+}
+
+// fitSorted is FitPowerLawOpts over data already in ascending order.
+func fitSorted(sorted []int, opts FitOpts) (PowerLawFit, error) {
 	opts = opts.withDefaults()
-	if len(values) < opts.MinTail {
+	if len(sorted) < opts.MinTail {
 		return PowerLawFit{}, ErrTooFewSamples
 	}
 	minTail := opts.MinTail
-	if frac := int(opts.MinTailFrac * float64(len(values))); frac > minTail {
+	if frac := int(opts.MinTailFrac * float64(len(sorted))); frac > minTail {
 		minTail = frac
 	}
-	sorted := append([]int(nil), values...)
-	sort.Ints(sorted)
 	// Candidate xmins: distinct values except the very largest (need a
 	// non-trivial tail).
 	var candidates []int
@@ -152,6 +160,12 @@ func samplePowerLaw(rng *rand.Rand, xmin int, alpha float64) int {
 // body values from the empirical body; each synthetic set is refit and its
 // KS distance compared with the observed one. Small p (< 0.1 in the paper)
 // rejects the power-law hypothesis.
+//
+// The synthetic datasets are drawn from rng on the calling goroutine, in
+// order, and refit on min(GOMAXPROCS, iterations) worker goroutines; at most
+// about two datasets per worker are alive at once. The p-value counts the
+// refits whose KS distance reaches the observed one, so it does not depend
+// on GOMAXPROCS or on the order the refits finish in.
 func (f PowerLawFit) PValue(values []int, iterations int, rng *rand.Rand) float64 {
 	if iterations <= 0 {
 		iterations = 100
@@ -164,7 +178,26 @@ func (f PowerLawFit) PValue(values []int, iterations int, rng *rand.Rand) float6
 	}
 	n := len(values)
 	pTail := float64(f.NTail) / float64(n)
-	exceed := 0
+	workers := min(runtime.GOMAXPROCS(0), iterations)
+	// One queued dataset per worker keeps every worker fed while the
+	// draws run ahead, and bounds the live datasets to about 2×workers.
+	synths := make(chan []int, workers)
+	var exceed atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for synth := range synths {
+				// The worker owns synth, so it sorts in place rather than
+				// through FitPowerLaw's copy.
+				sort.Ints(synth)
+				if sf, err := fitSorted(synth, FitOpts{}); err == nil && sf.KS >= f.KS {
+					exceed.Add(1)
+				}
+			}
+		}()
+	}
 	for it := 0; it < iterations; it++ {
 		synth := make([]int, n)
 		for i := range synth {
@@ -174,15 +207,11 @@ func (f PowerLawFit) PValue(values []int, iterations int, rng *rand.Rand) float6
 				synth[i] = body[rng.Intn(len(body))]
 			}
 		}
-		sf, err := FitPowerLaw(synth)
-		if err != nil {
-			continue
-		}
-		if sf.KS >= f.KS {
-			exceed++
-		}
+		synths <- synth
 	}
-	return float64(exceed) / float64(iterations)
+	close(synths)
+	wg.Wait()
+	return float64(exceed.Load()) / float64(iterations)
 }
 
 // RejectsPowerLaw runs the full CSN procedure and reports whether the
